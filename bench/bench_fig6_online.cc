@@ -299,7 +299,6 @@ causaltad::serve::ServiceOptions BenchServiceOptions() {
   options.max_session_pending = 8;  // tight enough that bursts backpressure
   options.max_shard_queued = 1 << 14;
   options.batcher.max_batch_rows = 64;
-  options.batcher.max_delay_ms = 0.1;
   return options;
 }
 

@@ -100,7 +100,6 @@ int main() {
     service_options.pump = true;
     service_options.max_session_pending = 8;
     service_options.batcher.max_batch_rows = 32;
-    service_options.batcher.max_delay_ms = 1.0;
     service_options.registry = &backend_registry[i];
     service_options.tracer = &tracer;
     backends[i].service =

@@ -1,6 +1,5 @@
 #include "serve/service.h"
 
-#include <algorithm>
 #include <iterator>
 #include <utility>
 
@@ -53,13 +52,9 @@ StreamingService::StreamingService(const core::CausalTad* model,
     shard->queue_wait = registry_->GetHistogram(
         "service_queue_wait_ms", {{"shard", std::to_string(i)}});
     shard->stats_base = shard->queue_wait->raw()->TakeSnapshot();
-    shard->gens.push_back(
-        MakeBatcher(model, shard.get(), options_.batcher.max_delay_ms));
-    shard->adapt_base = shard->queue_wait->raw()->TakeSnapshot();
+    shard->gens.push_back(MakeBatcher(model, shard.get()));
     shards_.push_back(std::move(shard));
   }
-  const double now = NowMs();
-  for (auto& shard : shards_) shard->last_adapt_ms = now;
   if (options_.pump) {
     for (auto& shard : shards_) {
       shard->pump = std::thread([this, s = shard.get()] { PumpLoop(s); });
@@ -69,18 +64,10 @@ StreamingService::StreamingService(const core::CausalTad* model,
 
 StreamingService::~StreamingService() { Shutdown(); }
 
-double StreamingService::NowMs() const {
-  if (options_.batcher.now_ms) return options_.batcher.now_ms();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 std::unique_ptr<StreamingBatcher> StreamingService::MakeBatcher(
-    const core::CausalTad* model, Shard* shard, double max_delay_ms) const {
+    const core::CausalTad* model, Shard* shard) const {
   StreamingOptions batcher_options = options_.batcher;
   batcher_options.queue_wait = shard->queue_wait->raw();
-  batcher_options.max_delay_ms = max_delay_ms;
   batcher_options.tracer = options_.tracer;
   batcher_options.trace_where = "shard=" + std::to_string(shard->index);
   const double lambda = lambda_from_model_ ? model->lambda() : lambda_;
@@ -90,31 +77,57 @@ std::unique_ptr<StreamingBatcher> StreamingService::MakeBatcher(
 
 void StreamingService::PumpLoop(Shard* shard) {
   std::vector<StreamingBatcher*> gens;
+  // True when the pump has something to do: a queued point, a generation
+  // added or retired since `gens` was read, or Shutdown.
+  auto has_work = [this, shard, &gens] {
+    if (stop_.load(std::memory_order_acquire)) return true;
+    std::shared_lock<std::shared_mutex> lock(shard->gens_mu);
+    if (shard->gens.size() != gens.size()) return true;
+    for (const auto& g : shard->gens) {
+      if (g->queued_points() > 0) return true;
+    }
+    return false;
+  };
   while (!stop_.load(std::memory_order_acquire)) {
     gens.clear();
     {
       std::shared_lock<std::shared_mutex> lock(shard->gens_mu);
       for (const auto& g : shard->gens) gens.push_back(g.get());
     }
+    // Work-conserving: step whenever anything is queued, so the batch is
+    // whatever arrived during the previous step.
     int64_t scored = 0;
-    for (StreamingBatcher* g : gens) scored += g->StepIfReady();
-    if (options_.target_queue_wait_p95_ms > 0.0) AdaptShard(shard);
+    for (StreamingBatcher* g : gens) scored += g->Step();
     if (gens.size() > 1) MaybeRetire(shard);
-    if (scored > 0) continue;  // hot: step again
-    // Idle poll period: a fraction of the admission deadline, so a partial
-    // batch is picked up well within max_delay_ms of becoming due. Reads
-    // the live (possibly adapted) deadline each pass.
-    const double delay_ms =
-        std::max(gens.empty() ? options_.batcher.max_delay_ms
-                              : gens.back()->max_delay_ms(),
-                 0.1);
-    const auto idle_wait = std::chrono::microseconds(
-        std::max<int64_t>(50, static_cast<int64_t>(delay_ms * 1000.0 / 4.0)));
+    if (scored > 0) continue;
     std::unique_lock<std::mutex> lock(shard->mu);
-    shard->cv.wait_for(lock, idle_wait, [this] {
-      return stop_.load(std::memory_order_acquire);
-    });
+    while (true) {
+      // Re-armed before every predicate read: a Push that checks the flag
+      // late, after the pump already scored its point, clears it and wakes
+      // the pump for nothing, and the pump must never sleep with it clear.
+      shard->pump_asleep.store(true);
+      if (has_work()) break;
+      if (gens.size() == 1) {
+        shard->cv.wait(lock);
+      } else if (shard->cv.wait_for(lock, std::chrono::milliseconds(2)) ==
+                 std::cv_status::timeout) {
+        // An old generation drains by Poll/End, which do not wake the
+        // pump: re-check retirement every few ms until it is gone.
+        break;
+      }
+    }
+    shard->pump_asleep.store(false);
   }
+}
+
+void StreamingService::WakePump(Shard* shard) {
+  // The load keeps a busy pump's pushes free of RMW and futex traffic; the
+  // exchange lets one push of a burst pay for the wake-up.
+  if (!shard->pump_asleep.load() || !shard->pump_asleep.exchange(false)) {
+    return;
+  }
+  std::lock_guard<std::mutex> lock(shard->mu);
+  shard->cv.notify_one();
 }
 
 StreamingService::Shard* StreamingService::ShardOf(SessionId id,
@@ -187,6 +200,8 @@ PushStatus StreamingService::Push(SessionId id, roadnet::SegmentId segment,
   switch (status) {
     case PushStatus::kAccepted:
       points_accepted_.Inc();
+      // After gens_mu is released: the pump's wait predicate takes it.
+      WakePump(shard);
       break;
     case PushStatus::kSessionFull:
       rejected_session_full_.Inc();
@@ -244,8 +259,7 @@ int64_t StreamingService::StepAll() {
       std::shared_lock<std::shared_mutex> lock(shard->gens_mu);
       for (const auto& g : shard->gens) gens.push_back(g.get());
     }
-    for (StreamingBatcher* g : gens) points += g->StepIfReady();
-    if (options_.target_queue_wait_p95_ms > 0.0) AdaptShard(shard.get());
+    for (StreamingBatcher* g : gens) points += g->Step();
     if (gens.size() > 1) MaybeRetire(shard.get());
   }
   return points;
@@ -270,16 +284,13 @@ bool StreamingService::SwapModel(const core::CausalTad* model) {
     if (shut_down_) return false;
   }
   for (auto& shard : shards_) {
-    // Carry the shard's live (possibly adapted) deadline into the new
-    // generation so a swap does not reset the controller's work.
-    double delay = options_.batcher.max_delay_ms;
+    auto batcher = MakeBatcher(model, shard.get());
     {
-      std::shared_lock<std::shared_mutex> lock(shard->gens_mu);
-      if (!shard->gens.empty()) delay = shard->gens.back()->max_delay_ms();
+      std::unique_lock<std::shared_mutex> lock(shard->gens_mu);
+      shard->gens.push_back(std::move(batcher));
     }
-    auto batcher = MakeBatcher(model, shard.get(), delay);
-    std::unique_lock<std::shared_mutex> lock(shard->gens_mu);
-    shard->gens.push_back(std::move(batcher));
+    // An idle pump must see the old generation to retire it once drained.
+    WakePump(shard.get());
   }
   model_.store(model, std::memory_order_release);
   model_swaps_.Inc();
@@ -288,34 +299,6 @@ bool StreamingService::SwapModel(const core::CausalTad* model) {
 
 const core::CausalTad* StreamingService::current_model() const {
   return model_.load(std::memory_order_acquire);
-}
-
-void StreamingService::AdaptDeadlines() {
-  if (options_.target_queue_wait_p95_ms <= 0.0) return;
-  for (auto& shard : shards_) AdaptShard(shard.get());
-}
-
-void StreamingService::AdaptShard(Shard* shard) {
-  std::lock_guard<std::mutex> adapt_lock(shard->adapt_mu);
-  const double now = NowMs();
-  if (now - shard->last_adapt_ms < options_.adapt_interval_ms) return;
-  const util::LatencyHistogram* qw = shard->queue_wait->raw();
-  const int64_t samples = qw->CountSince(shard->adapt_base);
-  if (samples < options_.adapt_min_samples) return;  // window keeps growing
-  const double p95 = qw->PercentileSince(shard->adapt_base, 95.0);
-  shard->adapt_base = qw->TakeSnapshot();
-  shard->last_adapt_ms = now;
-  std::shared_lock<std::shared_mutex> lock(shard->gens_mu);
-  if (shard->gens.empty()) return;
-  const double current = shard->gens.back()->max_delay_ms();
-  // Multiplicative controller, at most a 2x move per interval: queue waits
-  // above target shrink the deadline (admit sooner), waits comfortably
-  // below it grow the deadline (fuller batches, better occupancy).
-  const double ratio = std::clamp(
-      options_.target_queue_wait_p95_ms / std::max(p95, 1e-6), 0.5, 2.0);
-  const double next = std::clamp(current * ratio, options_.min_delay_ms,
-                                 options_.max_delay_ms_cap);
-  for (const auto& g : shard->gens) g->set_max_delay_ms(next);
 }
 
 void StreamingService::MaybeRetire(Shard* shard) {
@@ -373,7 +356,7 @@ void StreamingService::Shutdown() {
     {
       // Under the shard mutex, or the notify can land in the window
       // between a pump's predicate check and its wait and be lost,
-      // stalling the join for a full idle_wait timeout.
+      // leaving the pump asleep and the join hung.
       std::lock_guard<std::mutex> shard_lock(shard->mu);
       shard->cv.notify_all();
     }
@@ -382,15 +365,6 @@ void StreamingService::Shutdown() {
   // Every point accepted before Shutdown gets its score.
   Flush();
   stop_time_ = std::chrono::steady_clock::now();
-}
-
-double StreamingService::shard_delay_ms(int shard) const {
-  CAUSALTAD_CHECK_GE(shard, 0);
-  CAUSALTAD_CHECK_LT(shard, static_cast<int>(shards_.size()));
-  const Shard* s = shards_[static_cast<size_t>(shard)].get();
-  std::shared_lock<std::shared_mutex> lock(s->gens_mu);
-  if (s->gens.empty()) return options_.batcher.max_delay_ms;
-  return s->gens.back()->max_delay_ms();
 }
 
 ServiceStats StreamingService::stats() const {

@@ -26,9 +26,10 @@ struct ServiceOptions {
   /// the service scales past one pump's step rate by hashing sessions
   /// across shards; the model is shared read-only.
   int num_shards = 1;
-  /// Run one background pump thread per shard around StepIfReady(). With
-  /// pumping off the caller drives admission via StepAll()/Flush() — the
-  /// benches A/B both modes.
+  /// Run one background pump thread per shard: it steps whenever a point
+  /// is queued and sleeps until the next Push otherwise. With pumping off
+  /// the caller drives admission via StepAll()/Flush() — the benches A/B
+  /// both modes.
   bool pump = true;
   /// Backpressure: Push returns kSessionFull once one session has this
   /// many unscored points queued (<= 0 disables). A well-behaved producer
@@ -40,28 +41,10 @@ struct ServiceOptions {
   /// instead of growing an unbounded queue. During a model swap the bound
   /// applies per generation (each generation is its own batcher).
   int64_t max_shard_queued = 4096;
-  /// Per-shard engine knobs (batch rows, admission deadline, injectable
-  /// clock, SD cache). `queue_wait` is overwritten: the service wires every
-  /// shard to its own histogram (per-shard, so the adaptive controller can
-  /// steer each shard independently; stats() merges them).
+  /// Per-shard engine knobs (batch rows, SD cache). `queue_wait` is
+  /// overwritten: the service wires every shard to its own histogram
+  /// (stats() merges them).
   StreamingOptions batcher;
-
-  /// Adaptive per-shard deadlines: when > 0, a per-shard controller tunes
-  /// that shard's admission deadline (StreamingOptions::max_delay_ms)
-  /// toward this target p95 queue wait in ms. Every adapt_interval_ms (on
-  /// the batcher clock, so tests fake it) the controller looks at the p95
-  /// queue wait observed since its last adjustment and scales the deadline
-  /// multiplicatively: above-target waits shrink it (admit sooner), waits
-  /// comfortably under target grow it (fuller batches), clamped to
-  /// [min_delay_ms, max_delay_ms_cap] and at most 2x / 0.5x per step.
-  /// 0 disables adaptation (the configured max_delay_ms stays fixed).
-  double target_queue_wait_p95_ms = 0.0;
-  /// Controller cadence; windows with fewer than adapt_min_samples scored
-  /// points are skipped (the window keeps accumulating).
-  double adapt_interval_ms = 50.0;
-  double min_delay_ms = 0.05;
-  double max_delay_ms_cap = 50.0;
-  int64_t adapt_min_samples = 32;
 
   /// Metrics sink: the service registers its ops counters and per-shard
   /// queue-wait histograms here (null = obs::Registry::Default()). Inject a
@@ -82,11 +65,12 @@ struct ServiceStats {
   int64_t points_scored = 0;
   int64_t steps = 0;  // batches that scored >= 1 point, all shards
   /// Mean admitted fraction of a batch: points_scored / (steps ·
-  /// max_batch_rows). Low occupancy with high queue wait means the
-  /// deadline, not the batch size, is pacing admission.
+  /// max_batch_rows). Admission is work-conserving, so occupancy tracks
+  /// the backlog: low at light load (the pump steps per arrival), rising
+  /// toward 1 as points queue faster than a step drains them.
   double step_occupancy = 0.0;
   /// points_scored / wall-seconds from construction to now (frozen at
-  /// Shutdown). Real time, even when the shards run on a fake clock.
+  /// Shutdown).
   double points_per_sec = 0.0;
   /// Queue wait (Push to batch admission) percentiles in ms, merged across
   /// the per-shard util::LatencyHistograms.
@@ -102,8 +86,8 @@ struct ServiceStats {
 };
 
 /// Production serving front-end over N StreamingBatcher shards: sessions
-/// hash across shards at Begin, one background pump thread per shard runs
-/// deadline-bounded admission (StepIfReady), Push applies backpressure and
+/// hash across shards at Begin, one background pump thread per shard steps
+/// whenever a point is queued (work-conserving), Push applies backpressure and
 /// load shedding, and stats() exports throughput/occupancy/queue-wait
 /// counters. Per-session score parity with a single StreamingBatcher is
 /// exact — a session lives on one shard for its whole life and shard
@@ -164,13 +148,12 @@ class StreamingService {
   /// Drains the session's scores emitted since the last Poll, feed order.
   std::vector<double> Poll(SessionId id);
 
-  /// One StepIfReady pass over every generation of every shard (manual
-  /// pumping when options.pump is false); returns points scored. Also runs
-  /// the adaptive-deadline controller and generation retirement, so a
-  /// manually-pumped service gets the full lifecycle.
+  /// One Step over every generation of every shard (manual pumping when
+  /// options.pump is false); returns points scored. Also retires drained
+  /// generations, so a manually-pumped service gets the full lifecycle.
   int64_t StepAll();
 
-  /// Drains every queued point on every shard (deadline bypassed).
+  /// Drains every queued point on every shard.
   void Flush();
 
   /// Atomically directs all FUTURE BeginSessions to `model` while live
@@ -185,16 +168,6 @@ class StreamingService {
   /// The model serving new sessions (the latest SwapModel argument, or the
   /// constructor model before any swap).
   const core::CausalTad* current_model() const;
-
-  /// Runs one adaptive-deadline pass over every shard (no-op unless
-  /// options.target_queue_wait_p95_ms > 0 and the shard's interval has
-  /// elapsed on the batcher clock). The pump calls this automatically;
-  /// public so fake-clock tests and manual pumps can drive it.
-  void AdaptDeadlines();
-
-  /// Current admission deadline of one shard (the adaptive controller's
-  /// output; options.batcher.max_delay_ms until it first adjusts).
-  double shard_delay_ms(int shard) const;
 
   /// Stops the pump threads, then flushes all shards so every accepted
   /// point has a score before the call returns. Idempotent; Poll keeps
@@ -227,27 +200,28 @@ class StreamingService {
     SessionId next_inner = 0;
     int index = 0;  // position in shards_, for the "shard" metric label
     /// Registry-owned queue-wait histogram (label shard="<i>") — the same
-    /// series backs the exposition, stats(), and the adaptive controller.
+    /// series backs the exposition and stats().
     obs::Histogram* queue_wait = nullptr;
     std::thread pump;
+    /// The idle pump waits on cv under mu until a point is queued (read
+    /// under mu, through the batchers' own locks), Shutdown, or a swap.
+    /// pump_asleep is set under mu before every read of that predicate,
+    /// so a Push that enqueues after the read sees it set and wakes the
+    /// pump; a Push to a busy pump makes no futex call.
     std::mutex mu;
-    std::condition_variable cv;  // wakes the pump early on Shutdown
-    /// Adaptive-deadline controller state (guarded by adapt_mu).
-    std::mutex adapt_mu;
-    util::LatencyHistogram::Snapshot adapt_base;
+    std::condition_variable cv;
+    std::atomic<bool> pump_asleep{false};
     /// Histogram state at service construction: stats() windows the
     /// registry-owned histogram to this instance's samples.
     util::LatencyHistogram::Snapshot stats_base;
-    double last_adapt_ms = 0.0;
   };
 
   void PumpLoop(Shard* shard);
+  /// Wakes the shard's pump if it sleeps (Push, SwapModel).
+  static void WakePump(Shard* shard);
   Shard* ShardOf(SessionId id, SessionId* inner);
-  double NowMs() const;
   std::unique_ptr<StreamingBatcher> MakeBatcher(const core::CausalTad* model,
-                                                Shard* shard,
-                                                double max_delay_ms) const;
-  void AdaptShard(Shard* shard);
+                                                Shard* shard) const;
   /// Retires drained non-current generations (and their route entries).
   void MaybeRetire(Shard* shard);
 

@@ -50,7 +50,6 @@ StreamingBatcher::StreamingBatcher(const core::CausalTad* model,
 }
 
 double StreamingBatcher::Now() const {
-  if (options_.now_ms) return options_.now_ms();
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
@@ -190,37 +189,13 @@ PushStatus StreamingBatcher::PushLocked(SessionId id,
           max_session_pending) {
     return PushStatus::kSessionFull;
   }
-  const double now = Now();
-  it->second.pending.push_back({segment, now, trace_id});
+  it->second.pending.push_back({segment, Now(), trace_id});
   ++queued_points_;
   if (!it->second.in_ready) {
     it->second.in_ready = true;
-    // Oldest pending point's time, not this push's: with the session in
-    // flight elsewhere, a leftover burst point may be older than we are.
-    ReadyPushLocked(id, it->second.pending.front().enqueued_ms);
+    ready_.push_back(id);
   }
   return PushStatus::kAccepted;
-}
-
-void StreamingBatcher::ReadyPushLocked(SessionId id, double since) {
-  ready_.push_back(id);
-  ready_since_.push_back(since);
-  // Monotonic min-queue: drop dominated suffix entries so ready_min_ stays
-  // non-decreasing with the running minimum at the front, O(1) amortized.
-  while (!ready_min_.empty() && ready_min_.back() > since) {
-    ready_min_.pop_back();
-  }
-  ready_min_.push_back(since);
-}
-
-double StreamingBatcher::ReadyPopLocked() {
-  const double since = ready_since_.front();
-  ready_since_.pop_front();
-  if (!ready_min_.empty() && ready_min_.front() == since) {
-    ready_min_.pop_front();
-  }
-  ready_.pop_front();
-  return since;
 }
 
 void StreamingBatcher::End(SessionId id) {
@@ -261,16 +236,6 @@ std::vector<double> StreamingBatcher::Poll(SessionId id, bool* forgotten) {
   return scores;
 }
 
-double StreamingBatcher::max_delay_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return options_.max_delay_ms;
-}
-
-void StreamingBatcher::set_max_delay_ms(double ms) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_.max_delay_ms = ms;
-}
-
 void StreamingBatcher::MaybeForgetLocked(SessionId id) {
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
@@ -292,45 +257,17 @@ int64_t StreamingBatcher::Step() {
     AdmitLocked(&plan);
   }
   if (plan.admitted.empty()) return 0;
-  ComputePhase(&plan);
-  std::lock_guard<std::mutex> lock(mu_);
-  return CommitLocked(plan);
-}
-
-int64_t StreamingBatcher::StepIfReady() {
-  BatchPlan plan;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ready_.empty()) return 0;
-    // Deadline on the OLDEST waiting point anywhere in the queue (the
-    // min-queue front), not the FIFO front: re-queued burst sessions sit at
-    // the back with older carried timestamps.
-    if (static_cast<int64_t>(ready_.size()) < options_.max_batch_rows &&
-        Now() - ready_min_.front() < options_.max_delay_ms) {
-      return 0;
-    }
-    AdmitLocked(&plan);
-  }
-  if (plan.admitted.empty()) return 0;
-  ComputePhase(&plan);
-  std::lock_guard<std::mutex> lock(mu_);
-  return CommitLocked(plan);
-}
-
-void StreamingBatcher::ComputePhase(BatchPlan* plan) const {
   // Span timing only when this batch carries a traced point — the untraced
   // fast path runs the kernels with zero extra clock reads.
   bool traced = false;
   if (options_.tracer != nullptr) {
-    for (const uint64_t id : plan->trace_ids) traced |= id != 0;
+    for (const uint64_t id : plan.trace_ids) traced |= id != 0;
   }
-  if (!traced) {
-    ComputeUnlocked(plan);
-    return;
-  }
-  plan->compute_start_ms = Now();
-  ComputeUnlocked(plan);
-  plan->compute_dur_ms = Now() - plan->compute_start_ms;
+  if (traced) plan.compute_start_ms = Now();
+  ComputeUnlocked(&plan);
+  if (traced) plan.compute_dur_ms = Now() - plan.compute_start_ms;
+  std::lock_guard<std::mutex> lock(mu_);
+  return CommitLocked(plan);
 }
 
 void StreamingBatcher::Flush() {
@@ -343,6 +280,7 @@ void StreamingBatcher::AdmitLocked(BatchPlan* plan) {
   // Bounded scan of the current queue: sessions another Step still holds in
   // flight are re-queued, not admitted (feed order — their next point must
   // see the committed state), and must not make this loop spin.
+  if (ready_.empty()) return;
   const double now = Now();
   const int64_t hd = tg_->config().hidden_dim;
   const size_t scan = ready_.size();
@@ -351,10 +289,10 @@ void StreamingBatcher::AdmitLocked(BatchPlan* plan) {
                           options_.max_batch_rows;
        ++iter) {
     const SessionId id = ready_.front();
-    const double since = ReadyPopLocked();
+    ready_.pop_front();
     Session& s = sessions_.at(id);
     if (s.in_flight) {
-      ReadyPushLocked(id, since);
+      ready_.push_back(id);
       continue;
     }
     s.in_ready = false;
@@ -480,10 +418,7 @@ int64_t StreamingBatcher::CommitLocked(const BatchPlan& plan) {
       // already (it saw in_ready false); only queue it once.
       if (!s.in_ready) {
         s.in_ready = true;
-        // Carry the oldest remaining point's original enqueue time, not the
-        // re-queue time: a k-point burst must drain within ~max_delay_ms of
-        // each point's arrival, not wait k·max_delay_ms for its tail.
-        ReadyPushLocked(id, s.pending.front().enqueued_ms);
+        ready_.push_back(id);
       }
     } else if (s.ended) {
       ReleaseRowLocked(&s);

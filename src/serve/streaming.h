@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -19,17 +19,11 @@ namespace causaltad {
 namespace serve {
 
 /// Serving knobs. See README.md in this directory for the API contract
-/// (ordering, deadlines, thread-safety).
+/// (ordering, admission, thread-safety).
 struct StreamingOptions {
   /// Hard cap on the sessions advanced by one batched step (the admission
   /// batch size — also the row count of the fused [B, hidden] GRU step).
   int64_t max_batch_rows = 256;
-  /// Deadline-bounded admission: StepIfReady() fires a partial batch once
-  /// the oldest queued point has waited this long.
-  double max_delay_ms = 2.0;
-  /// Injectable monotonic clock in milliseconds (tests fake it); null uses
-  /// the process steady clock.
-  std::function<double()> now_ms;
   /// Cached SD-pair trip contexts (posterior, h0, sd_nll + kl) before the
   /// cache is reset. Concurrent orders between the same endpoints — the
   /// paper's ride-hailing workload — then share one SD encode.
@@ -148,16 +142,13 @@ class StreamingBatcher {
 
   /// Runs one batched advance over the queued points — up to
   /// max_batch_rows sessions, FIFO by queue arrival. Returns the number of
-  /// points scored.
+  /// points scored. Work-conserving: a pump calls this whenever a point is
+  /// queued, so a batch is whatever queued since the last step and grows
+  /// with the backlog by itself.
   int64_t Step();
 
   /// Steps until no queued point remains.
   void Flush();
-
-  /// Deadline-bounded admission: Step() only if the batch is full or the
-  /// oldest queued point has waited at least max_delay_ms. A serving pump
-  /// loop calls this; returns the number of points scored (0 = not ready).
-  int64_t StepIfReady();
 
   /// Drains the scores emitted for `id` since the last Poll, in feed
   /// order. A fully-polled ended session is forgotten.
@@ -168,12 +159,6 @@ class StreamingBatcher {
   /// keeps its own id→batcher routing table (StreamingService generations)
   /// uses this to drop its entry in the same step.
   std::vector<double> Poll(SessionId id, bool* forgotten);
-
-  /// Live view/control of the deadline-admission knob, for the adaptive
-  /// controller in StreamingService. Takes the batcher lock; the new value
-  /// applies from the next StepIfReady().
-  double max_delay_ms() const;
-  void set_max_delay_ms(double ms);
 
   /// Sessions holding a live state row / allocated rows / queued points —
   /// introspection for tests and ops dashboards.
@@ -194,8 +179,8 @@ class StreamingBatcher {
   Counters counters() const;
 
  private:
-  /// One queued observation; the enqueue time rides along so deadline
-  /// admission and the queue-wait histogram see the point's true age even
+  /// One queued observation; the enqueue time rides along so the
+  /// queue-wait histogram and trace spans see the point's true age even
   /// after its session is re-queued behind a burst.
   struct PendingPoint {
     roadnet::SegmentId segment = roadnet::kInvalidSegment;
@@ -251,14 +236,9 @@ class StreamingBatcher {
   };
 
   double Now() const;
-  void ReadyPushLocked(SessionId id, double since);
-  double ReadyPopLocked();
   PushStatus PushLocked(SessionId id, roadnet::SegmentId segment,
                         int64_t max_session_pending,
                         int64_t max_queued_points, uint64_t trace_id);
-  /// ComputeUnlocked plus the traced-batch compute-span timing — the shared
-  /// middle phase of Step/StepIfReady.
-  void ComputePhase(BatchPlan* plan) const;
   /// Step phase 1 (under mu_): pop up to max_batch_rows ready sessions,
   /// mark them in flight, and snapshot their compute inputs into `plan`.
   void AdmitLocked(BatchPlan* plan);
@@ -291,12 +271,6 @@ class StreamingBatcher {
   SessionId next_id_ = 0;
   std::unordered_map<SessionId, Session> sessions_;
   std::deque<SessionId> ready_;       // FIFO of sessions with queued points
-  std::deque<double> ready_since_;    // oldest pending point's enqueue time
-  // Sliding-window minimum of ready_since_ (non-decreasing; front is the
-  // min). ready_since_ is NOT monotone — a re-queued burst session carries
-  // its oldest pending point's original timestamp to the back — so the
-  // deadline check needs the true minimum, not front().
-  std::deque<double> ready_min_;
   int64_t queued_points_ = 0;
   int64_t steps_fired_ = 0;
   int64_t points_scored_ = 0;

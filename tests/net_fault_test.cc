@@ -116,7 +116,6 @@ ServiceOptions PumpedServiceOptions() {
   options.pump = true;
   options.max_session_pending = 8;
   options.batcher.max_batch_rows = 16;
-  options.batcher.max_delay_ms = 0.25;
   return options;
 }
 

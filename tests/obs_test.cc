@@ -412,7 +412,6 @@ TEST(ObsFleetTest, SpanChainReconstructsFromOneDumpAndScrapeCoversFleet) {
     sopts.num_shards = 2;
     sopts.pump = true;
     sopts.batcher.max_batch_rows = 16;
-    sopts.batcher.max_delay_ms = 0.25;
     sopts.registry = &backend_registry[i];
     sopts.tracer = &tracer;
     backend->service = std::make_unique<StreamingService>(causal, sopts);

@@ -142,7 +142,6 @@ class Cluster {
       sopts.pump = true;
       sopts.max_session_pending = 8;
       sopts.batcher.max_batch_rows = 16;
-      sopts.batcher.max_delay_ms = 0.25;
       backend->service = std::make_unique<StreamingService>(model, sopts);
       ServerOptions oopts;
       oopts.network = &Data().city.network;

@@ -1,11 +1,12 @@
 // StreamingService tests: sharding parity against a single
 // StreamingBatcher (N=4 shards + pump threads, interleaved bursts with
 // backpressure engaged), backpressure/shedding statuses, ops-counter
-// sanity, fake-clock deadline bounds, and shutdown-flush.
+// sanity, work-conserving admission, pump wake-ups, and shutdown-flush.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -96,7 +97,6 @@ TEST(ServiceTest, ShardedPumpedParityWithSingleBatcher) {
   options.max_session_pending = 2;  // tight, so backpressure engages
   options.max_shard_queued = 1024;
   options.batcher.max_batch_rows = 8;
-  options.batcher.max_delay_ms = 0.25;
   StreamingService service(causal, options);
   EXPECT_EQ(service.num_shards(), 4);
 
@@ -182,46 +182,38 @@ TEST(ServiceTest, PushReportsBackpressureAndShedding) {
   service.End(b);
 }
 
-TEST(ServiceTest, FakeClockDeadlineBoundsPointWait) {
+TEST(ServiceTest, StepAllIsWorkConserving) {
   const CausalTad* causal = FittedCausal();
   const auto trips = ParityTrips();
   const traj::Trip& trip = trips[0];
   ASSERT_GE(trip.route.size(), 3);
-  double now_ms = 0.0;
   ServiceOptions options;
   options.num_shards = 1;
-  options.pump = false;  // the test is the pump; the clock is fake
-  options.batcher.max_batch_rows = 4;
-  options.batcher.max_delay_ms = 5.0;
-  options.batcher.now_ms = [&now_ms] { return now_ms; };
+  options.pump = false;  // the test is the pump
   StreamingService service(causal, options);
 
-  // A full batch is admitted immediately — no deadline wait.
-  std::vector<SessionId> full;
-  for (int i = 0; i < 4; ++i) {
-    full.push_back(service.Begin(trip));
-    EXPECT_EQ(service.Push(full.back(), trip.route.segments[0]),
-              PushStatus::kAccepted);
-  }
-  EXPECT_EQ(service.StepAll(), 4);
+  // A lone queued point is admitted by the very next pass.
+  const SessionId single = service.Begin(trip);
+  EXPECT_EQ(service.StepAll(), 0);
+  EXPECT_EQ(service.Push(single, trip.route.segments[0]),
+            PushStatus::kAccepted);
+  EXPECT_EQ(service.StepAll(), 1);
+  EXPECT_EQ(service.Poll(single).size(), 1u);
 
-  // A below-batch burst waits at most max_delay_ms past each point's
-  // enqueue, not k·max_delay_ms for the tail.
+  // A burst drains one point per pass, in feed order.
   const SessionId burst = service.Begin(trip);
   for (int k = 0; k < 3; ++k) {
     EXPECT_EQ(service.Push(burst, trip.route.segments[k]),
               PushStatus::kAccepted);
   }
-  now_ms = 4.9;
-  EXPECT_EQ(service.StepAll(), 0);  // inside the deadline
-  now_ms = 5.1;
-  // All three burst points are past the deadline; they drain on
-  // consecutive passes without the clock advancing.
-  EXPECT_EQ(service.StepAll(), 1);
-  EXPECT_EQ(service.StepAll(), 1);
-  EXPECT_EQ(service.StepAll(), 1);
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(service.StepAll(), 1) << "burst point " << k;
+    const std::vector<double> scores = service.Poll(burst);
+    ASSERT_EQ(scores.size(), 1u) << "burst point " << k;
+    const double reference = causal->Score(trip, k + 1);
+    EXPECT_NEAR(scores[0], reference, Tol(reference)) << "burst point " << k;
+  }
   EXPECT_EQ(service.queued_points(), 0);
-  EXPECT_EQ(service.Poll(burst).size(), 3u);
 }
 
 TEST(ServiceTest, CountersAndHistogramSanity) {
@@ -271,7 +263,6 @@ TEST(ServiceTest, ShutdownFlushesAllShards) {
     options.pump = true;
     options.max_session_pending = 0;  // queue everything, then shut down
     options.max_shard_queued = 0;
-    options.batcher.max_delay_ms = 50.0;  // pump mostly idle: queues build
     return options;
   }());
 
@@ -313,7 +304,6 @@ TEST(ServiceTest, MultiProducerSoakMatchesSingleProducerReplay) {
   options.pump = true;
   options.max_session_pending = 4;  // tight: producers contend and retry
   options.batcher.max_batch_rows = 16;
-  options.batcher.max_delay_ms = 0.25;
   StreamingService service(causal, options);
 
   constexpr int kProducers = 8;
@@ -458,7 +448,6 @@ TEST(ServiceTest, HotSwapUnderLoadPinsSessionsToGenerations) {
   options.max_session_pending = 0;  // unbounded: no backpressure here
   options.max_shard_queued = 0;
   options.batcher.max_batch_rows = 8;
-  options.batcher.max_delay_ms = 0.25;
   StreamingService service(old_model, options);
   EXPECT_EQ(service.current_model(), old_model);
 
@@ -536,61 +525,150 @@ TEST(ServiceTest, HotSwapUnderLoadPinsSessionsToGenerations) {
   EXPECT_FALSE(service.SwapModel(old_model)) << "swap after shutdown";
 }
 
-// The adaptive deadline controller on a fake clock: sustained queue waits
-// above the p95 target halve the shard deadline (down to min_delay_ms),
-// waits far below it double the deadline back toward the cap. Each move is
-// bounded to 2x per adapt interval.
-TEST(ServiceTest, AdaptiveDeadlineTracksQueueWaitP95) {
+/// Polls `id` until a score arrives or `limit` passes.
+std::vector<double> AwaitScores(StreamingService* service, SessionId id,
+                                std::chrono::seconds limit) {
+  std::vector<double> scores;
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (scores.empty() && std::chrono::steady_clock::now() < deadline) {
+    scores = service->Poll(id);
+    if (scores.empty()) std::this_thread::yield();
+  }
+  return scores;
+}
+
+// Lost-wake-up regression: the idle pump sleeps until a Push wakes it.
+// One point at a time goes into an idle 1-shard service, and each must be
+// scored with no later push to nudge the pump. The gap after each score
+// varies, so pushes land while the pump is still stepping, on its way to
+// sleep, and asleep. Each wait is bounded: a lost wake-up fails the test
+// instead of hanging it.
+TEST(ServiceTest, IdlePumpWakesForEverySinglePush) {
+  const CausalTad* causal = FittedCausal();
+  const auto trips = ParityTrips();
+  ServiceOptions options;
+  options.num_shards = 1;
+  options.pump = true;
+  StreamingService service(causal, options);
+
+  constexpr int kPushes = 600;
+  int pushes = 0;
+  for (size_t t = 0; pushes < kPushes; ++t) {
+    const traj::Trip& trip = trips[t % trips.size()];
+    const SessionId id = service.Begin(trip);
+    for (int64_t k = 0; k < trip.route.size() && pushes < kPushes; ++k) {
+      ASSERT_EQ(service.Push(id, trip.route.segments[k]),
+                PushStatus::kAccepted);
+      ++pushes;
+      const std::vector<double> scores =
+          AwaitScores(&service, id, std::chrono::seconds(2));
+      ASSERT_EQ(scores.size(), 1u)
+          << "push " << pushes << " was not scored within 2 s";
+      const double reference = causal->Score(trip, k + 1);
+      EXPECT_NEAR(scores[0], reference, Tol(reference));
+      switch (pushes % 4) {
+        case 0:
+          break;
+        case 1:
+          std::this_thread::yield();
+          break;
+        case 2:
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          break;
+        default:
+          std::this_thread::sleep_for(std::chrono::microseconds(500));
+          break;
+      }
+    }
+    service.End(id);
+  }
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.points_scored, kPushes);
+  EXPECT_EQ(stats.steps, kPushes);  // one point in flight at a time
+}
+
+// The same with several producers. A producer preempted between its
+// enqueue and its wake check can find the pump asleep again after the pump
+// already scored its point; its late wake-up must not disarm the pump for
+// the other producers' points.
+TEST(ServiceTest, IdlePumpWakesForConcurrentSinglePushes) {
+  const CausalTad* causal = FittedCausal();
+  const auto trips = ParityTrips();
+  ServiceOptions options;
+  options.num_shards = 1;
+  options.pump = true;
+  StreamingService service(causal, options);
+
+  constexpr int kProducers = 8;
+  constexpr int kPushesEach = 4000;
+  std::atomic<int> lost{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      int pushes = 0;
+      for (size_t t = p; pushes < kPushesEach && lost.load() == 0; ++t) {
+        const traj::Trip& trip = trips[t % trips.size()];
+        const SessionId id = service.Begin(trip);
+        for (int64_t k = 0; k < trip.route.size() && pushes < kPushesEach;
+             ++k) {
+          if (service.Push(id, trip.route.segments[k]) !=
+              PushStatus::kAccepted) {
+            lost.fetch_add(1);
+            break;
+          }
+          ++pushes;
+          if (AwaitScores(&service, id, std::chrono::seconds(2)).size() !=
+              1u) {
+            lost.fetch_add(1);
+            break;
+          }
+        }
+        service.End(id);
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  EXPECT_EQ(lost.load(), 0) << "a pushed point was not scored within 2 s";
+  EXPECT_EQ(service.stats().points_scored, kProducers * kPushesEach);
+}
+
+
+// Shutdown of an idle pumped service: a single-generation pump sleeps with
+// no timeout, so Shutdown's wake-up is its only way out of the wait.
+TEST(ServiceTest, ShutdownOfIdlePumpedServiceReturnsPromptly) {
   const CausalTad* causal = FittedCausal();
   const auto trips = ParityTrips();
   const traj::Trip& trip = trips[0];
-  ASSERT_GE(trip.route.size(), 4);
-
-  double now_ms = 0.0;
   ServiceOptions options;
-  options.num_shards = 1;
-  options.pump = false;  // the test is the pump; the clock is fake
-  options.batcher.max_batch_rows = 1;  // admission wait == queue wait
-  options.batcher.max_delay_ms = 8.0;
-  options.batcher.now_ms = [&now_ms] { return now_ms; };
-  options.target_queue_wait_p95_ms = 1.0;
-  options.adapt_interval_ms = 10.0;
-  options.adapt_min_samples = 4;
-  options.min_delay_ms = 0.5;
-  options.max_delay_ms_cap = 50.0;
-  StreamingService service(causal, options);
-  EXPECT_DOUBLE_EQ(service.shard_delay_ms(0), 8.0);
+  options.num_shards = 4;
+  options.pump = true;
+  auto service = std::make_unique<StreamingService>(causal, options);
+  const SessionId id = service->Begin(trip);
+  ASSERT_EQ(service->Push(id, trip.route.segments[0]), PushStatus::kAccepted);
+  ASSERT_EQ(AwaitScores(service.get(), id, std::chrono::seconds(2)).size(),
+            1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // pumps idle
 
-  // Four points enqueued at t, admitted 20ms late: p95 >> target.
-  auto slow_interval = [&] {
-    const SessionId id = service.Begin(trip);
-    for (int k = 0; k < 4; ++k) {
-      EXPECT_EQ(service.Push(id, trip.route.segments[k]),
-                PushStatus::kAccepted);
-    }
-    now_ms += 20.0;
-    for (int k = 0; k < 4; ++k) EXPECT_EQ(service.StepAll(), 1);
-    service.AdaptDeadlines();
-  };
-  slow_interval();
-  EXPECT_DOUBLE_EQ(service.shard_delay_ms(0), 4.0);  // halved, not jumped
-
-  // Four points admitted with ~zero wait: p95 far below target, deadline
-  // doubles back.
-  const SessionId fast = service.Begin(trip);
-  for (int k = 0; k < 4; ++k) {
-    EXPECT_EQ(service.Push(fast, trip.route.segments[k]),
-              PushStatus::kAccepted);
-    EXPECT_EQ(service.StepAll(), 1);  // batch_rows=1: admits immediately
+  // The closer owns what it touches, so a stuck one can be left behind.
+  auto done = std::make_shared<std::atomic<bool>>(false);
+  std::thread closer([raw = service.get(), done] {
+    raw->Shutdown();
+    done->store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!done->load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  now_ms += 10.0;
-  service.AdaptDeadlines();
-  EXPECT_DOUBLE_EQ(service.shard_delay_ms(0), 8.0);
-
-  // Sustained overload walks the deadline down to the floor and holds.
-  for (int round = 0; round < 5; ++round) slow_interval();
-  EXPECT_DOUBLE_EQ(service.shard_delay_ms(0), 0.5);
-  service.Shutdown();
+  if (!done->load()) {
+    // A pump never woke: leak the service and the stuck closer rather than
+    // hang the binary on their destructors.
+    closer.detach();
+    (void)service.release();
+    FAIL() << "Shutdown of an idle pumped service did not return in 2 s";
+  }
+  closer.join();
+  EXPECT_EQ(service->Push(id, trip.route.segments[1]), PushStatus::kShutdown);
 }
 
 }  // namespace

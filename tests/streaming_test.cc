@@ -3,7 +3,7 @@
 // contract in models/scorer.h), on both the fused incremental path and the
 // forced rescoring reference path; serve::StreamingBatcher must reproduce
 // the same scores under interleaved trip starts/ends, bursts, out-of-order
-// completion, deadline admission, and row compaction.
+// completion, work-conserving admission, and row compaction.
 
 #include <gtest/gtest.h>
 
@@ -197,29 +197,84 @@ TEST(StreamingBatcherTest, InterleavedTripsMatchPerTripScores) {
   }
 }
 
+TEST(StreamingBatcherTest, StepAdmitsAQueuedPointAtOnce) {
+  // Work-conserving admission: the very next Step() admits a lone queued
+  // point — no batch-fill or age threshold holds it back.
+  const CausalTad* causal = FittedCausal();
+  ASSERT_NE(causal, nullptr);
+  const auto trips = ParityTrips();
+  const traj::Trip& trip = trips[0];
+  StreamingBatcher batcher(causal);
+  StreamingSession session = batcher.Begin(trip);
+  EXPECT_EQ(batcher.Step(), 0);  // nothing queued
+  session.Push(trip.route.segments[0]);
+  EXPECT_EQ(batcher.Step(), 1);
+  EXPECT_EQ(batcher.queued_points(), 0);
+  const std::vector<double> scores = session.Poll();
+  ASSERT_EQ(scores.size(), 1u);
+  const double reference = causal->Score(trip, 1);
+  EXPECT_NEAR(scores[0], reference, Tol(reference));
+}
+
 TEST(StreamingBatcherTest, BurstsDrainInFeedOrderOnePointPerStep) {
   const CausalTad* causal = FittedCausal();
   const auto trips = ParityTrips();
   const traj::Trip& trip = trips[0];
-  ASSERT_GE(trip.route.size(), 3);
+  const int k_burst = static_cast<int>(std::min<int64_t>(6, trip.route.size()));
+  ASSERT_GE(k_burst, 3);
   StreamingBatcher batcher(causal);
   StreamingSession burst = batcher.Begin(trip);
   StreamingSession other = batcher.Begin(trips[1]);
-  for (int k = 0; k < 3; ++k) burst.Push(trip.route.segments[k]);
+  for (int k = 0; k < k_burst; ++k) burst.Push(trip.route.segments[k]);
   other.Push(trips[1].route.segments[0]);
 
-  // One step advances each session by at most one point.
+  // One step advances each session by at most one point: the first step
+  // admits both sessions, then the burst drains alone, one point per step,
+  // each step's score being the next prefix in feed order.
   EXPECT_EQ(batcher.Step(), 2);
-  EXPECT_EQ(batcher.queued_points(), 2);
-  EXPECT_EQ(batcher.Step(), 1);
-  EXPECT_EQ(batcher.Step(), 1);
-  EXPECT_EQ(batcher.Step(), 0);
-
-  const std::vector<double> scores = burst.Poll();
-  ASSERT_EQ(scores.size(), 3u);
-  for (int k = 0; k < 3; ++k) {
+  EXPECT_EQ(batcher.queued_points(), k_burst - 1);
+  EXPECT_EQ(other.Poll().size(), 1u);
+  for (int k = 0; k < k_burst; ++k) {
+    if (k > 0) EXPECT_EQ(batcher.Step(), 1) << "burst point " << k;
+    const std::vector<double> scores = burst.Poll();
+    ASSERT_EQ(scores.size(), 1u) << "burst point " << k;
     const double reference = causal->Score(trip, k + 1);
-    EXPECT_NEAR(scores[k], reference, Tol(reference));
+    EXPECT_NEAR(scores[0], reference, Tol(reference)) << "burst point " << k;
+  }
+  EXPECT_EQ(batcher.Step(), 0);
+  EXPECT_EQ(batcher.queued_points(), 0);
+}
+
+TEST(StreamingBatcherTest, BatchGrowsWithBacklogUpToMaxBatchRows) {
+  // A backlog is admitted in max_batch_rows chunks, FIFO: 300 ready
+  // sessions split into steps of 256 and 44.
+  const CausalTad* causal = FittedCausal();
+  ASSERT_NE(causal, nullptr);
+  const auto trips = ParityTrips();
+  StreamingBatcher batcher(causal);
+  ASSERT_EQ(StreamingOptions().max_batch_rows, 256);
+  std::vector<StreamingSession> sessions;
+  for (int i = 0; i < 300; ++i) {
+    const traj::Trip& trip = trips[i % trips.size()];
+    sessions.push_back(batcher.Begin(trip));
+    sessions.back().Push(trip.route.segments[0]);
+  }
+  EXPECT_EQ(batcher.Step(), 256);
+  EXPECT_EQ(batcher.queued_points(), 44);
+  // FIFO: the first 256 sessions hold their score, the rest do not yet.
+  EXPECT_EQ(sessions[255].Poll().size(), 1u);
+  EXPECT_TRUE(sessions[256].Poll().empty());
+  EXPECT_EQ(batcher.Step(), 44);
+  EXPECT_EQ(batcher.Step(), 0);
+  const StreamingBatcher::Counters counters = batcher.counters();
+  EXPECT_EQ(counters.steps, 2);
+  EXPECT_EQ(counters.points, 300);
+  for (int i = 0; i < 300; ++i) {
+    if (i == 255) continue;  // polled above
+    const std::vector<double> scores = sessions[i].Poll();
+    ASSERT_EQ(scores.size(), 1u) << "session " << i;
+    const double reference = causal->Score(trips[i % trips.size()], 1);
+    EXPECT_NEAR(scores[0], reference, Tol(reference)) << "session " << i;
   }
 }
 
@@ -250,130 +305,6 @@ TEST(StreamingBatcherTest, VariantEnginesMatchVariantScores) {
       }
     }
   }
-}
-
-TEST(StreamingBatcherTest, DeadlineBoundedAdmission) {
-  const CausalTad* causal = FittedCausal();
-  const auto trips = ParityTrips();
-  double now_ms = 0.0;
-  StreamingOptions options;
-  options.max_batch_rows = 4;
-  options.max_delay_ms = 5.0;
-  options.now_ms = [&now_ms] { return now_ms; };
-  StreamingBatcher batcher(causal, options);
-
-  // Two queued sessions: below the batch size and inside the deadline, so
-  // nothing fires until the clock passes max_delay_ms.
-  StreamingSession a = batcher.Begin(trips[0]);
-  StreamingSession b = batcher.Begin(trips[1]);
-  a.Push(trips[0].route.segments[0]);
-  b.Push(trips[1].route.segments[0]);
-  EXPECT_EQ(batcher.StepIfReady(), 0);
-  now_ms = 4.9;
-  EXPECT_EQ(batcher.StepIfReady(), 0);
-  now_ms = 5.1;
-  EXPECT_EQ(batcher.StepIfReady(), 2);
-
-  // A full batch fires immediately, deadline not yet reached.
-  std::vector<StreamingSession> more;
-  for (int i = 0; i < 4; ++i) {
-    more.push_back(batcher.Begin(trips[i + 2 < static_cast<int>(trips.size())
-                                           ? i + 2
-                                           : i % trips.size()]));
-    more.back().Push(trips[0].route.segments[0]);
-  }
-  EXPECT_EQ(batcher.StepIfReady(), 4);
-}
-
-TEST(StreamingBatcherTest, BurstDeadlineCarriesOriginalEnqueueTime) {
-  // Regression: a re-queued session used to get a fresh ready_since_
-  // timestamp, so the tail of a k-point burst waited ~k·max_delay_ms. The
-  // re-queue must carry the oldest pending point's original enqueue time:
-  // once the burst is past the deadline, every remaining point drains on
-  // consecutive StepIfReady calls without the clock advancing further.
-  const CausalTad* causal = FittedCausal();
-  ASSERT_NE(causal, nullptr);
-  const auto trips = ParityTrips();
-  const traj::Trip& trip = trips[0];
-  ASSERT_GE(trip.route.size(), 4);
-  double now_ms = 0.0;
-  StreamingOptions options;
-  options.max_batch_rows = 64;
-  options.max_delay_ms = 5.0;
-  options.now_ms = [&now_ms] { return now_ms; };
-  StreamingBatcher batcher(causal, options);
-
-  StreamingSession session = batcher.Begin(trip);
-  for (int k = 0; k < 4; ++k) session.Push(trip.route.segments[k]);
-  EXPECT_EQ(batcher.StepIfReady(), 0);  // inside the deadline
-  now_ms = 5.1;
-  for (int k = 0; k < 4; ++k) {
-    EXPECT_EQ(batcher.StepIfReady(), 1) << "burst point " << k;
-  }
-  EXPECT_EQ(batcher.queued_points(), 0);
-
-  // Wait-bound sweep: points arrive 1 ms apart, a pump ticks the clock in
-  // 1 ms steps draining everything due; no point may be scored later than
-  // max_delay_ms after its own enqueue time.
-  StreamingSession sweep = batcher.Begin(trip);
-  std::vector<double> pushed_at;
-  size_t scored = 0;
-  double max_wait = 0.0;
-  const int64_t n = std::min<int64_t>(6, trip.route.size());
-  for (int tick = 0; tick <= 20; ++tick) {
-    now_ms = 5.1 + tick;
-    if (static_cast<int64_t>(pushed_at.size()) < n) {
-      sweep.Push(trip.route.segments[pushed_at.size()]);
-      pushed_at.push_back(now_ms);
-    }
-    while (batcher.StepIfReady() > 0) {
-    }
-    const size_t total = scored + sweep.Poll().size();
-    for (; scored < total; ++scored) {
-      max_wait = std::max(max_wait, now_ms - pushed_at[scored]);
-    }
-    if (scored == static_cast<size_t>(n) &&
-        static_cast<int64_t>(pushed_at.size()) == n) {
-      break;
-    }
-  }
-  EXPECT_EQ(scored, static_cast<size_t>(n));
-  EXPECT_LE(max_wait, options.max_delay_ms + 1e-9);
-}
-
-TEST(StreamingBatcherTest, DeadlineSeesCarriedTimestampBehindFifoFront) {
-  // A re-queued burst session sits at the BACK of the FIFO with an OLDER
-  // carried timestamp, so ready_since_ is not monotone: the deadline must
-  // watch the true minimum, not the FIFO front. Scenario: A pushes 2
-  // points at t=0; B, C, D push one each at t=4.9; the batch-full fire
-  // admits A, B, C and re-queues A behind D carrying t=0. At t=5.1 A's
-  // second point is past the deadline even though the front (D, t=4.9) is
-  // not — the step must fire.
-  const CausalTad* causal = FittedCausal();
-  ASSERT_NE(causal, nullptr);
-  const auto trips = ParityTrips();
-  ASSERT_GE(trips.size(), 4u);
-  double now_ms = 0.0;
-  StreamingOptions options;
-  options.max_batch_rows = 3;
-  options.max_delay_ms = 5.0;
-  options.now_ms = [&now_ms] { return now_ms; };
-  StreamingBatcher batcher(causal, options);
-
-  StreamingSession a = batcher.Begin(trips[0]);
-  a.Push(trips[0].route.segments[0]);
-  a.Push(trips[0].route.segments[1]);
-  now_ms = 4.9;
-  StreamingSession b = batcher.Begin(trips[1]);
-  StreamingSession c = batcher.Begin(trips[2]);
-  StreamingSession d = batcher.Begin(trips[3]);
-  b.Push(trips[1].route.segments[0]);
-  c.Push(trips[2].route.segments[0]);
-  d.Push(trips[3].route.segments[0]);
-  EXPECT_EQ(batcher.StepIfReady(), 3);  // batch full: admits a, b, c
-  now_ms = 5.1;
-  EXPECT_EQ(batcher.StepIfReady(), 2);  // d AND a's carried t=0 point
-  EXPECT_EQ(batcher.queued_points(), 0);
 }
 
 TEST(StreamingBatcherTest, EndedDrainedSessionsAreForgotten) {
